@@ -358,7 +358,30 @@ let test_domains1_bit_identical () =
     | Some c -> c.Ex.c_steps
     | None -> Alcotest.fail "expected a counterexample"
   in
-  Alcotest.(check (list int)) "identical shrunk schedule" (steps a) (steps b)
+  Alcotest.(check (list int)) "identical shrunk schedule" (steps a) (steps b);
+  (* The DPOR golden: the violation-free ebr cell exhausted at bound 2
+     (the perfbench verify cell). Sleep-set cuts and the shared sibling
+     groups depend on the exact pop order, so this pins the DPOR path's
+     single-domain order as the hp counts pin the classic one. *)
+  let d =
+    Ex.explore
+      ~config:
+        {
+          Ex.default_config with
+          Ex.max_preemptions = 2;
+          max_runs = 100_000;
+          shrink = false;
+          dpor = true;
+          domains = 1;
+        }
+      (App.explore_target ~seed:2 ~ops_per_thread:5 (scheme "ebr") App.Harris)
+  in
+  let s = d.Ex.res_stats in
+  Alcotest.(check bool) "dpor golden: no violation" true (d.Ex.res_cex = None);
+  Alcotest.(check int) "dpor golden run count" 5691 s.Ex.runs;
+  Alcotest.(check int) "dpor golden state count" 785035 s.Ex.states;
+  Alcotest.(check int) "dpor golden sleep cuts" 2463 s.Ex.sleep_cuts;
+  Alcotest.(check int) "dpor golden levels" 3 s.Ex.levels_completed
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: random small targets, sequential vs parallel                *)
