@@ -68,8 +68,6 @@ type config = {
   shrink : bool;
   shrink_budget : int;
   domains : int;
-  batch : int;
-  steal : bool;
   prune : bool;
   dpor : bool;
   record_fps : bool;
@@ -86,8 +84,6 @@ let default_config =
     shrink = true;
     shrink_budget = 500;
     domains = 1;
-    batch = 16;
-    steal = false;
     prune = true;
     dpor = false;
     record_fps = false;
@@ -221,7 +217,6 @@ type item = {
   it_choices : int array;
   it_dev : int;  (* -1 for the root item (empty prefix) *)
   it_alt : int;
-  it_level : int;  (* preemption level; bookkeeping for steal mode *)
   it_sleep : Sleep_set.entry array;  (* DPOR: entries asleep at it_dev *)
   it_group : Sleep_set.group option;  (* DPOR: sibling group at it_dev *)
 }
@@ -231,7 +226,6 @@ let root_item =
     it_choices = [||];
     it_dev = -1;
     it_alt = -1;
-    it_level = 0;
     it_sleep = [||];
     it_group = None;
   }
@@ -343,9 +337,9 @@ let state_fp_x sched ~last =
    Figure 2 counterexample).
 
    [mutate_groups] gates reporting the deviating quantum's footprint to
-   the item's sibling group: the sequential search accumulates explored
+   the item's sibling group: a single worker accumulates explored
    siblings there (later-popped siblings then start with them asleep);
-   parallel searches leave groups frozen at the parent-chosen edge,
+   several workers leave groups frozen at the parent-chosen edge,
    because "explored earlier" is not well-defined across domains —
    a sound, smaller sleep set.
 
@@ -613,13 +607,13 @@ let compact_entries (entries : Sleep_set.entry array) am =
 (* Children of a completed run: deviations strictly after its prefix
    (siblings at earlier points were enumerated by ancestors). Walked in
    reverse so a LIFO consumer extends the earliest choice point first —
-   the DFS order of the sequential search. Free-switch siblings keep the
-   item's preemption level, preempting siblings get level + 1; [emit]
-   routes on [preempts]. In DPOR mode the alternatives come from the
-   awake mask (sleeping tids are covered by construction), each node's
-   children share one freshly compacted inherited-sleep array, and one
-   sibling group seeded with the parent-chosen edge. *)
-let iter_children r ~dpor ~level ~emit =
+   the DFS order of the single-worker search. Free-switch siblings keep
+   the item's preemption level, preempting siblings need one more;
+   [emit] routes on [preempts]. In DPOR mode the alternatives come from
+   the awake mask (sleeping tids are covered by construction), each
+   node's children share one freshly compacted inherited-sleep array,
+   and one sibling group seeded with the parent-chosen edge. *)
+let iter_children r ~dpor ~emit =
   let len = Array.length r.ru_choices in
   for i = len - 1 downto r.ru_plen do
     let info = r.ru_info.(i) in
@@ -655,7 +649,6 @@ let iter_children r ~dpor ~level ~emit =
             it_choices = r.ru_choices;
             it_dev = i;
             it_alt = alt;
-            it_level = (if preempts then level + 1 else level);
             it_sleep = sleep;
             it_group = group;
           }
@@ -757,7 +750,7 @@ let shrink_steps target ~budget ~kind steps0 =
   (shrunk, !tests)
 
 (* ------------------------------------------------------------------ *)
-(* Search bookkeeping shared by the three engines                     *)
+(* Counterexample packaging                                           *)
 (* ------------------------------------------------------------------ *)
 
 let rec list_take n = function
@@ -765,9 +758,8 @@ let rec list_take n = function
   | _ when n <= 0 -> []
   | x :: tl -> x :: list_take (n - 1) tl
 
-(* Shrink a found violation and package the counterexample; shared by
-   the sequential and parallel searches (shrinking is always sequential:
-   ddmin on the one winning schedule). *)
+(* Shrink a found violation and package the counterexample (shrinking
+   is always sequential: ddmin on the one winning schedule). *)
 let build_cex config target (v, steps) =
   let shrink_runs = ref 0 in
   let steps = list_take (v.v_step + 1) steps in
@@ -796,424 +788,86 @@ let build_cex config target (v, steps) =
     },
     !shrink_runs )
 
-exception Search_over
-
-let no_cancel () = false
-
 (* ------------------------------------------------------------------ *)
-(* The bounded DFS                                                    *)
+(* The search                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let explore_sequential config target =
+(* One engine for every domain count. Preemption levels run one after
+   another with a barrier between them (iterative preemption bounding:
+   every schedule within bound [k] is covered before any schedule
+   needing [k+1], so a reported violation carries the minimal bound).
+   Within a level each of [domains] workers owns a [Steal_deque]. A
+   worker pops LIFO from its own deque — depth-first, which keeps the
+   frontier small — and when that is empty it steals the oldest half of
+   a random victim's items. A run's free-switch children go onto the
+   worker's own deque; its preempting children go into the worker's
+   list for the next level, and at the barrier those lists are
+   concatenated in worker order and dealt round-robin onto the deques.
+   A level ends when an atomic count of live items (pushed and not yet
+   fully processed) reaches 0: nobody holds an item, so nobody can
+   produce more. Stolen items move between deques without touching the
+   count.
+
+   With one worker there is nothing to steal: the deque is the DFS
+   stack, the next-level list is seeded in emission order, and the
+   search is the deterministic sequential DFS whose counts the test
+   suite pins. Only then do runs report their deviation to the sibling
+   group ([mutate_groups], see [run_one]).
+
+   Shared across workers: the visited table, the atomic budget and stat
+   counters, and the first-violation latch, which cancels in-flight runs
+   (polled once per quantum) before shrinking proceeds sequentially on
+   the winning schedule. Every run builds a fresh heap, monitor and
+   scheduler, so nothing of the simulation itself is shared. *)
+let explore ?(config = default_config) target =
   let dpor = config.dpor in
-  let visited : (int, int) Hashtbl.t = Hashtbl.create 8192 in
-  let fps = if config.record_fps then Some (Hashtbl.create 1024) else None in
+  let domains = max 1 config.domains in
+  let mutate_groups = domains = 1 in
+  let visited = Fp_table.create () in
+  let fps = if config.record_fps then Some (Fp_table.create ()) else None in
   let fp_check fp mask =
-    (match fps with Some t -> Hashtbl.replace t fp () | None -> ());
-    if config.prune then
-      match Hashtbl.find_opt visited fp with
-      | Some stored when stored land lnot mask = 0 -> true
-      | Some stored ->
-        Hashtbl.replace visited fp (stored land mask);
-        false
-      | None ->
-        Hashtbl.replace visited fp mask;
-        false
-    else false
+    (match fps with Some t -> Fp_table.add t fp | None -> ());
+    config.prune && Fp_table.check_covered visited fp ~mask
   in
-  let sc = scratch () in
-  let runs = ref 0 in
-  let states = ref 0 in
-  let pruned_n = ref 0 in
-  let sleep_cuts = ref 0 in
-  let failed = ref 0 in
-  let found = ref None in
-  let found_level = ref None in
-  let levels_completed = ref 0 in
-  let level = ref 0 in
-  (* Iterative preemption bounding: the level-[k] stack holds items
-     whose deviation needed its [k]-th preemption; free-switch siblings
-     stay within the level, preempting siblings seed level [k+1]. *)
-  let stack = ref [ root_item ] in
-  let deferred = ref [] in
-  (try
-     while !level <= config.max_preemptions do
-       while !stack <> [] do
-         if !runs >= config.max_runs then raise Search_over;
-         match !stack with
-         | [] -> assert false
-         | item :: rest ->
-           stack := rest;
-           let r =
-             match config.fault_hook with
-             | None ->
-               Some
-                 (run_one target ~dpor ~mutate_groups:true
-                    ~max_steps:config.max_steps ~fp_check ~cancel:no_cancel
-                    ~item sc)
-             | Some h -> (
-               try
-                 h !runs;
-                 Some
-                   (run_one target ~dpor ~mutate_groups:true
-                      ~max_steps:config.max_steps ~fp_check
-                      ~cancel:no_cancel ~item sc)
-               with _ -> None)
-           in
-           incr runs;
-           (match r with
-           | None -> incr failed
-           | Some r ->
-             states := !states + r.ru_quanta;
-             if r.ru_pruned then incr pruned_n;
-             if r.ru_sleep_cut then incr sleep_cuts;
-             (match r.ru_violation with
-             | Some v ->
-               found := Some (v, r.ru_steps);
-               found_level := Some !level;
-               raise Search_over
-             | None -> ());
-             iter_children r ~dpor ~level:!level ~emit:(fun child ~preempts ->
-                 if preempts then deferred := child :: !deferred
-                 else stack := child :: !stack));
-           (match config.on_progress with
-           | Some f
-             when config.progress_every > 0
-                  && !runs mod config.progress_every = 0 ->
-             f
-               {
-                 pg_level = !level;
-                 pg_runs = !runs;
-                 pg_states = !states;
-                 pg_pruned = !pruned_n;
-                 pg_frontier = List.length !stack;
-                 pg_deferred = List.length !deferred;
-                 pg_fp_size = Hashtbl.length visited;
-                 pg_budget_left = max 0 (config.max_runs - !runs);
-                 pg_per_domain_runs = [| !runs |];
-               }
-           | _ -> ())
-       done;
-       levels_completed := !level + 1;
-       stack := List.rev !deferred;
-       deferred := [];
-       incr level;
-       if !stack = [] then raise Search_over
-     done
-   with Search_over -> ());
-  let cex, shrink_runs =
-    match !found with
-    | None -> (None, 0)
-    | Some witness ->
-      let c, n = build_cex config target witness in
-      (Some c, n)
-  in
-  {
-    res_stats =
-      {
-        runs = !runs;
-        states = !states;
-        pruned = !pruned_n;
-        sleep_cuts = !sleep_cuts;
-        shrink_runs;
-        cex_preemptions = Option.map (fun _ -> Option.get !found_level) cex;
-        levels_completed = !levels_completed;
-        failed_runs = !failed;
-        domains_used = 1;
-        per_domain_runs = [ !runs ];
-      };
-    res_cex = cex;
-    res_fps =
-      (match fps with
-      | None -> []
-      | Some t ->
-        List.sort compare (Hashtbl.fold (fun fp () acc -> fp :: acc) t []));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Shared pieces of the two parallel engines                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Reserve one run slot against the shared budget; the slot ordinal
-   doubles as the fault-hook's run index. A compare-and-set loop rather
-   than fetch-and-add-then-rollback: the optimistic increment could
-   transiently push the counter past [max_runs] (briefly visible to
-   heartbeat readers as an over-budget run count) and, with several
-   workers hitting the limit at once, the rollbacks raced each other —
-   each loser both decremented and set [budget_out], so the counter
-   could end below the number of runs actually performed. CAS reserves
-   exactly [max_runs] slots, no more, and the counter is monotone. *)
-let make_reserve ~runs ~max_runs ~budget_out =
+  let runs = Atomic.make 0 in
+  let states = Atomic.make 0 in
+  let pruned_n = Atomic.make 0 in
+  let sleep_cuts = Atomic.make 0 in
+  let failed = Atomic.make 0 in
+  let budget_out = Atomic.make false in
+  let cancel = Atomic.make false in
+  let cancelled () = Atomic.get cancel in
+  let stopped () = Atomic.get cancel || Atomic.get budget_out in
+  (* the first violation, with its schedule and preemption level *)
+  let found = Atomic.make None in
+  (* Slot [w] is written only by worker [w], but heartbeats read every
+     slot while the workers run, hence atomics. *)
+  let per_domain = Array.init domains (fun _ -> Atomic.make 0) in
+  let deques = Array.init domains (fun _ -> Steal_deque.create ()) in
+  let live = Atomic.make 0 in
+  let deferred = Atomic.make 0 in
+  (* Reserve one run slot against the budget; the slot ordinal doubles
+     as the fault hook's run index. Compare-and-set rather than
+     fetch-and-add-then-rollback: the counter never passes [max_runs],
+     not even transiently, and racing workers cannot under-count. *)
   let rec reserve () =
     let r = Atomic.get runs in
-    if r >= max_runs then begin
+    if r >= config.max_runs then begin
       Atomic.set budget_out true;
       None
     end
     else if Atomic.compare_and_set runs r (r + 1) then Some r
     else reserve ()
   in
-  reserve
-
-(* Per-worker run counters. Slot [w] is written only by worker [w], but
-   the coordinator's heartbeat reads run concurrently: with a plain int
-   array those reads raced the writes (unsynchronized in the OCaml
-   memory model — the data race satellite this PR fixes), so each slot
-   is an [Atomic.t]. No padding: OCaml 5.1 has no [Atomic.make_contended],
-   and one write per {e run} (not per quantum) is far too cold for false
-   sharing to matter. *)
-let make_per_domain domains = Array.init domains (fun _ -> Atomic.make 0)
-
-let per_domain_snapshot a = Array.map Atomic.get a
-
-let parallel_fp_check ~fps ~prune visited =
-  fun fp mask ->
-    (match fps with Some t -> Fp_table.add t fp | None -> ());
-    if prune then Fp_table.check_covered visited fp ~mask
-    else false
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search: level-synchronous shared queue                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Same level-synchronous frontier as the sequential search — every
-   schedule within preemption bound [k] is covered before any schedule
-   needing [k+1], so a reported violation still carries the minimal
-   bound — but within a level the work items are sharded across
-   [domains] workers through a batched work queue. Each worker owns a
-   private re-execution loop (every run builds a fresh heap/monitor/
-   scheduler, so nothing of the simulation itself is shared); the only
-   cross-domain state is the work queue, the lock-striped visited table,
-   the atomic budget/stat counters, and the first-violation latch. On a
-   violation the latch cancels in-flight runs (polled once per quantum)
-   and shrinking proceeds sequentially on the winning schedule.
-
-   Which violating schedule wins the latch depends on worker timing, so
-   across domain counts the reported counterexample may differ — but
-   never its validity (it is always a concretely witnessed execution,
-   re-checkable by sequential replay), and thanks to the level barrier
-   never its preemption level. With pruning on, run/state counts for
-   [domains > 1] are timing-dependent too: the visited table fills in a
-   different order, so different runs get cut short. [domains = 1] never
-   enters this code path and stays bit-identical to the sequential
-   search. *)
-let explore_parallel config target ~domains =
-  let dpor = config.dpor in
-  let visited = Fp_table.create () in
-  let fps = if config.record_fps then Some (Fp_table.create ()) else None in
-  let fp_check = parallel_fp_check ~fps ~prune:config.prune visited in
-  let runs = Atomic.make 0 in
-  let states = Atomic.make 0 in
-  let pruned_n = Atomic.make 0 in
-  let sleep_cuts = Atomic.make 0 in
-  let failed = Atomic.make 0 in
-  let budget_out = Atomic.make false in
-  let cancel = Atomic.make false in
-  let cancelled () = Atomic.get cancel in
-  let found_m = Mutex.create () in
-  let found = ref None in
-  let found_level = ref 0 in
-  let reserve =
-    make_reserve ~runs ~max_runs:config.max_runs ~budget_out
-  in
-  let levels_completed = ref 0 in
-  let level = ref 0 in
-  let frontier = ref [ root_item ] in
-  let stop_all = ref false in
-  let per_domain = make_per_domain domains in
-  let last_report = ref 0 in
-  while (not !stop_all) && !level <= config.max_preemptions do
-    let q = Work_queue.create ~batch:config.batch () in
-    let deferred_m = Mutex.create () in
-    let deferred = ref [] in
-    Work_queue.push_batch q !frontier;
-    let this_level = !level in
-    (* Heartbeats come from the coordinator only — the [on_progress]
-       callback then never needs to be domain-safe. *)
-    let maybe_report () =
-      match config.on_progress with
-      | Some f when config.progress_every > 0 ->
-        let r = Atomic.get runs in
-        if r - !last_report >= config.progress_every then begin
-          last_report := r;
-          let deferred_n =
-            Mutex.lock deferred_m;
-            let n = List.length !deferred in
-            Mutex.unlock deferred_m;
-            n
-          in
-          f
-            {
-              pg_level = this_level;
-              pg_runs = r;
-              pg_states = Atomic.get states;
-              pg_pruned = Atomic.get pruned_n;
-              pg_frontier = Work_queue.length q;
-              pg_deferred = deferred_n;
-              pg_fp_size = Fp_table.size visited;
-              pg_budget_left = max 0 (config.max_runs - r);
-              pg_per_domain_runs = per_domain_snapshot per_domain;
-            }
-        end
-      | _ -> ()
-    in
-    let worker wid =
-      let sc = scratch () in
-      let rec loop () =
-        match Work_queue.take q with
-        | None -> ()
-        | Some batch ->
-          (* [batch_done] must run even if a fault escapes, or the
-             queue's quiescence count would deadlock the level. *)
-          Fun.protect
-            ~finally:(fun () -> Work_queue.batch_done q)
-            (fun () ->
-              let same = ref [] in
-              let next = ref [] in
-              List.iter
-                (fun item ->
-                  if not (Atomic.get cancel || Atomic.get budget_out) then
-                    match reserve () with
-                    | None -> Work_queue.stop q
-                    | Some slot -> (
-                      Atomic.incr per_domain.(wid);
-                      let r =
-                        match config.fault_hook with
-                        | None ->
-                          Some
-                            (run_one target ~dpor ~mutate_groups:false
-                               ~max_steps:config.max_steps ~fp_check
-                               ~cancel:cancelled ~item sc)
-                        | Some h -> (
-                          try
-                            h slot;
-                            Some
-                              (run_one target ~dpor ~mutate_groups:false
-                                 ~max_steps:config.max_steps ~fp_check
-                                 ~cancel:cancelled ~item sc)
-                          with _ -> None)
-                      in
-                      match r with
-                      | None -> Atomic.incr failed
-                      | Some r ->
-                        ignore (Atomic.fetch_and_add states r.ru_quanta);
-                        if r.ru_pruned then Atomic.incr pruned_n;
-                        if r.ru_sleep_cut then Atomic.incr sleep_cuts;
-                        (match r.ru_violation with
-                        | Some v ->
-                          Mutex.lock found_m;
-                          if !found = None then begin
-                            found := Some (v, r.ru_steps);
-                            found_level := this_level
-                          end;
-                          Mutex.unlock found_m;
-                          Atomic.set cancel true;
-                          Work_queue.stop q
-                        | None ->
-                          iter_children r ~dpor ~level:this_level
-                            ~emit:(fun c ~preempts ->
-                              if preempts then next := c :: !next
-                              else same := c :: !same))))
-                batch;
-              Work_queue.push_batch q (List.rev !same);
-              if !next <> [] then begin
-                Mutex.lock deferred_m;
-                deferred := List.rev_append !next !deferred;
-                Mutex.unlock deferred_m
-              end);
-          if wid = 0 then maybe_report ();
-          loop ()
-      in
-      loop ()
-    in
-    let spawned =
-      List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-    in
-    worker 0;
-    List.iter Domain.join spawned;
-    if Atomic.get cancel || Atomic.get budget_out then stop_all := true
-    else begin
-      levels_completed := !level + 1;
-      frontier := List.rev !deferred;
-      incr level;
-      if !frontier = [] then stop_all := true
-    end
-  done;
-  let cex, shrink_runs =
-    match !found with
-    | None -> (None, 0)
-    | Some witness ->
-      let c, n = build_cex config target witness in
-      (Some c, n)
-  in
-  {
-    res_stats =
-      {
-        runs = Atomic.get runs;
-        states = Atomic.get states;
-        pruned = Atomic.get pruned_n;
-        sleep_cuts = Atomic.get sleep_cuts;
-        shrink_runs;
-        cex_preemptions = Option.map (fun _ -> !found_level) cex;
-        levels_completed = !levels_completed;
-        failed_runs = Atomic.get failed;
-        domains_used = domains;
-        per_domain_runs = Array.to_list (per_domain_snapshot per_domain);
-      };
-    res_cex = cex;
-    res_fps =
-      (match fps with
-      | None -> []
-      | Some t -> List.sort compare (Fp_table.elements t));
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search: randomized work stealing                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Decentralized alternative to the level-synchronous queue: each worker
-   owns a deque, pushes a run's children locally (LIFO — depth-first,
-   which keeps the frontier from ballooning), and steals half of a
-   random victim's items when its own deque drains. There are no level
-   barriers, so no worker ever idles at a level boundary — the trade-off
-   is that preemption levels interleave: a reported violation's level is
-   the level of the item that found it, NOT guaranteed minimal (the
-   sequential and queue engines do guarantee minimality). Preemption
-   bounding itself still holds — items beyond [max_preemptions] are
-   never created.
-
-   Termination is a single atomic count of live items (pushed and not
-   yet fully processed): a worker that cannot pop or steal exits once
-   the count hits zero — nobody holds an item, so nobody can produce
-   more. Stolen items move between deques without touching the count. *)
-let explore_steal config target ~domains =
-  let dpor = config.dpor in
-  let visited = Fp_table.create () in
-  let fps = if config.record_fps then Some (Fp_table.create ()) else None in
-  let fp_check = parallel_fp_check ~fps ~prune:config.prune visited in
-  let runs = Atomic.make 0 in
-  let states = Atomic.make 0 in
-  let pruned_n = Atomic.make 0 in
-  let sleep_cuts = Atomic.make 0 in
-  let failed = Atomic.make 0 in
-  let budget_out = Atomic.make false in
-  let cancel = Atomic.make false in
-  let cancelled () = Atomic.get cancel in
-  let found_m = Mutex.create () in
-  let found = ref None in
-  let found_level = ref 0 in
-  let reserve =
-    make_reserve ~runs ~max_runs:config.max_runs ~budget_out
-  in
-  let per_domain = make_per_domain domains in
-  let items = Atomic.make 1 in
-  let deques = Array.init domains (fun _ -> Steal_deque.create ()) in
-  Steal_deque.push deques.(0) root_item;
+  (* Heartbeats come from worker 0, which runs on the calling domain, so
+     [on_progress] never needs to be domain-safe. [pg_runs] is the sum of
+     the per-worker counts it is reported with, so the two agree. *)
   let last_report = ref 0 in
   let maybe_report level =
     match config.on_progress with
     | Some f when config.progress_every > 0 ->
-      let r = Atomic.get runs in
+      let per = Array.map Atomic.get per_domain in
+      let r = Array.fold_left ( + ) 0 per in
       if r - !last_report >= config.progress_every then begin
         last_report := r;
         f
@@ -1222,114 +876,144 @@ let explore_steal config target ~domains =
             pg_runs = r;
             pg_states = Atomic.get states;
             pg_pruned = Atomic.get pruned_n;
-            pg_frontier = Atomic.get items;
-            pg_deferred = 0;
+            pg_frontier = Atomic.get live;
+            pg_deferred = Atomic.get deferred;
             pg_fp_size = Fp_table.size visited;
             pg_budget_left = max 0 (config.max_runs - r);
-            pg_per_domain_runs = per_domain_snapshot per_domain;
+            pg_per_domain_runs = per;
           }
       end
     | _ -> ()
   in
-  let worker wid =
+  (* One worker's share of one level; returns its next-level items,
+     newest first. *)
+  let worker level wid =
+    (* Allocated here, on the worker's own domain. Scratch records made
+       side by side by one domain share cache lines, and the per-quantum
+       buffer writes then bounce those lines between cores: 2 domains
+       ran ~25% slower that way. *)
     let sc = scratch () in
-    (* Cheap per-worker LCG for victim selection; distinct odd seeds per
-       worker. Randomized victim choice is what spreads steal pressure —
-       a fixed scan order would hammer worker 0's deque. *)
+    let own = deques.(wid) in
+    let next = ref [] in
+    (* Per-worker 48-bit LCG for victim choice, a distinct odd seed per
+       worker: random victims spread the steal pressure that a fixed
+       scan order would put on worker 0's deque. *)
     let rng = ref (((wid * 0x9E3779B9) + 0x6D2B79F5) lor 1) in
-    let next_victim () =
-      (* Java-style 48-bit LCG; victim index from the high bits. *)
+    let victim () =
       rng := ((!rng * 25214903917) + 11) land 0xFFFFFFFFFFFF;
       let v = (!rng lsr 17) mod domains in
       if v = wid then (v + 1) mod domains else v
     in
-    let stop () =
-      Atomic.get cancel || Atomic.get budget_out || Atomic.get items = 0
+    let run item =
+      run_one target ~dpor ~mutate_groups ~max_steps:config.max_steps
+        ~fp_check ~cancel:cancelled ~item sc
     in
     let process item =
-      Fun.protect
-        ~finally:(fun () -> ignore (Atomic.fetch_and_add items (-1)))
-        (fun () ->
-          match reserve () with
-          | None -> ()
-          | Some slot -> (
-            Atomic.incr per_domain.(wid);
-            let r =
-              match config.fault_hook with
-              | None ->
-                Some
-                  (run_one target ~dpor ~mutate_groups:false
-                     ~max_steps:config.max_steps ~fp_check ~cancel:cancelled
-                     ~item sc)
-              | Some h -> (
-                try
-                  h slot;
-                  Some
-                    (run_one target ~dpor ~mutate_groups:false
-                       ~max_steps:config.max_steps ~fp_check
-                       ~cancel:cancelled ~item sc)
-                with _ -> None)
-            in
-            match r with
-            | None -> Atomic.incr failed
-            | Some r ->
-              ignore (Atomic.fetch_and_add states r.ru_quanta);
-              if r.ru_pruned then Atomic.incr pruned_n;
-              if r.ru_sleep_cut then Atomic.incr sleep_cuts;
-              (match r.ru_violation with
-              | Some v ->
-                Mutex.lock found_m;
-                if !found = None then begin
-                  found := Some (v, r.ru_steps);
-                  found_level := item.it_level
-                end;
-                Mutex.unlock found_m;
-                Atomic.set cancel true
-              | None ->
-                iter_children r ~dpor ~level:item.it_level
-                  ~emit:(fun c ~preempts ->
-                    ignore preempts;
-                    if c.it_level <= config.max_preemptions then begin
-                      (* count before push: an item in a deque is always
-                         accounted for, so [items = 0] really means
-                         "no work anywhere" *)
-                      Atomic.incr items;
-                      Steal_deque.push deques.(wid) c
-                    end))));
-      if wid = 0 then maybe_report item.it_level
+      match reserve () with
+      | None -> ()
+      | Some slot -> (
+        Atomic.incr per_domain.(wid);
+        let r =
+          match config.fault_hook with
+          | None -> Some (run item)
+          | Some h -> (
+            try
+              h slot;
+              Some (run item)
+            with _ -> None)
+        in
+        match r with
+        | None -> Atomic.incr failed
+        | Some r -> (
+          ignore (Atomic.fetch_and_add states r.ru_quanta);
+          if r.ru_pruned then Atomic.incr pruned_n;
+          if r.ru_sleep_cut then Atomic.incr sleep_cuts;
+          match r.ru_violation with
+          | Some v ->
+            ignore
+              (Atomic.compare_and_set found None (Some (v, r.ru_steps, level)));
+            Atomic.set cancel true
+          | None ->
+            iter_children r ~dpor ~emit:(fun c ~preempts ->
+                if not preempts then begin
+                  (* count before push: an item in a deque is always
+                     counted, so [live = 0] really means no work left *)
+                  Atomic.incr live;
+                  Steal_deque.push own c
+                end
+                (* children beyond the bound would never run *)
+                else if level < config.max_preemptions then begin
+                  next := c :: !next;
+                  Atomic.incr deferred
+                end)))
     in
     let rec loop () =
-      match Steal_deque.pop deques.(wid) with
-      | Some item ->
-        process item;
-        loop ()
-      | None ->
-        if stop () then ()
-        else begin
-          (match Steal_deque.steal_half deques.(next_victim ()) with
-          | [] -> Domain.cpu_relax ()
-          | stolen ->
-            (* Oldest first into our own deque: the LIFO pop then starts
-               from the newest stolen item, preserving victim order. *)
-            List.iter (Steal_deque.push deques.(wid)) stolen);
+      if not (stopped ()) then
+        match Steal_deque.pop own with
+        | Some item ->
+          (* A raising item must still leave the count, or the other
+             workers would wait for it forever. *)
+          Fun.protect
+            ~finally:(fun () -> Atomic.decr live)
+            (fun () -> process item);
+          if wid = 0 then maybe_report level;
           loop ()
-        end
+        | None ->
+          if Atomic.get live > 0 then begin
+            (match Steal_deque.steal_half deques.(victim ()) with
+            | [] -> Domain.cpu_relax ()
+            | stolen ->
+              (* oldest first: the LIFO pop then resumes with the
+                 newest stolen item *)
+              List.iter (Steal_deque.push own) stolen);
+            loop ()
+          end
     in
-    loop ()
+    loop ();
+    !next
   in
-  let spawned =
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+  (* A worker that raises sets the cancel latch and hands its exception
+     back, so every domain is joined before the first one is re-raised. *)
+  let outcome level wid () =
+    match worker level wid with
+    | next -> Ok next
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Atomic.set cancel true;
+      Error (e, bt)
   in
-  worker 0;
-  List.iter Domain.join spawned;
-  let finished_naturally =
-    not (Atomic.get cancel || Atomic.get budget_out)
+  let levels_completed = ref 0 in
+  let rec search level frontier =
+    if frontier <> [] && level <= config.max_preemptions then begin
+      Atomic.set live (List.length frontier);
+      Atomic.set deferred 0;
+      List.iteri (fun k it -> Steal_deque.push deques.(k mod domains) it)
+        frontier;
+      let spawned =
+        List.init (domains - 1) (fun i ->
+            Domain.spawn (outcome level (i + 1)))
+      in
+      let mine = outcome level 0 () in
+      let next =
+        List.concat_map
+          (function
+            | Ok next -> next
+            | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+          (mine :: List.map Domain.join spawned)
+      in
+      if not (stopped ()) then begin
+        levels_completed := level + 1;
+        search (level + 1) next
+      end
+    end
   in
+  search 0 [ root_item ];
+  let found = Atomic.get found in
   let cex, shrink_runs =
-    match !found with
+    match found with
     | None -> (None, 0)
-    | Some witness ->
-      let c, n = build_cex config target witness in
+    | Some (v, steps, _) ->
+      let c, n = build_cex config target (v, steps) in
       (Some c, n)
   in
   {
@@ -1340,14 +1024,11 @@ let explore_steal config target ~domains =
         pruned = Atomic.get pruned_n;
         sleep_cuts = Atomic.get sleep_cuts;
         shrink_runs;
-        cex_preemptions = Option.map (fun _ -> !found_level) cex;
-        (* no level barrier: either the whole bounded space was covered
-           (all levels), or the early stop makes the notion moot *)
-        levels_completed =
-          (if finished_naturally then config.max_preemptions + 1 else 0);
+        cex_preemptions = Option.map (fun (_, _, level) -> level) found;
+        levels_completed = !levels_completed;
         failed_runs = Atomic.get failed;
         domains_used = domains;
-        per_domain_runs = Array.to_list (per_domain_snapshot per_domain);
+        per_domain_runs = Array.to_list (Array.map Atomic.get per_domain);
       };
     res_cex = cex;
     res_fps =
@@ -1355,11 +1036,6 @@ let explore_steal config target ~domains =
       | None -> []
       | Some t -> List.sort compare (Fp_table.elements t));
   }
-
-let explore ?(config = default_config) target =
-  if config.domains <= 1 then explore_sequential config target
-  else if config.steal then explore_steal config target ~domains:config.domains
-  else explore_parallel config target ~domains:config.domains
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                      *)

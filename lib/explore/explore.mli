@@ -36,26 +36,25 @@
       by construction: configurations whose every runnable thread sleeps
       are cut, and the visited table stores per-state sleep masks so a
       state is only "visited" for the sleep sets it was covered under.
-      DPOR-mode pruning also checks {e every} quantum past the deviation
-      (not just the first), made affordable by an incremental
-      XOR heap fingerprint that is O(threads), not O(heap), to read.
+      DPOR mode checks the visited table at the deviation point only, as
+      classic mode does, but hashes the heap with an incremental XOR
+      fingerprint that is O(threads), not O(heap), to read.
 
     A found violation is shrunk by delta-debugging its quantum-by-quantum
     schedule to a minimal still-violating sequence, compressed into a
     [Sched.Script] ([Run (tid, n)] instructions), and serialized as a
     replayable JSON counterexample ({!save} / {!load} / {!replay}).
 
-    The search is embarrassingly parallel — every run is a stateless
-    re-execution of a choice-point prefix — so [config.domains > 1]
-    shards the frontier across OCaml 5 domains, in one of two shapes:
-    the default level-synchronous batched work queue (preserves minimal
-    preemption bounds), or randomized work-stealing deques
-    ([config.steal]) with no level barriers — each worker runs a private
-    depth-first loop and steals half a random victim's deque when it
-    drains. Both share a lock-striped visited-fingerprint table and a
-    first-violation latch that cancels in-flight workers before
-    shrinking proceeds sequentially on the winning schedule (see
-    {!explore} for the exact determinism contract). *)
+    Every run is a stateless re-execution of a choice-point prefix, so
+    the search parallelizes: one engine runs the preemption levels one
+    after another, with a barrier between them, and shares each level's
+    work among [config.domains] workers. Each worker pops depth-first
+    from its own deque and, when that drains, steals half of a random
+    victim's deque. The workers share a lock-striped visited-fingerprint
+    table and a first-violation latch that cancels in-flight runs before
+    shrinking proceeds sequentially on the winning schedule. With one
+    worker the search is the deterministic sequential DFS (see
+    {!explore} for the determinism contract). *)
 
 type target = {
   name : string;  (** e.g. ["hp/harris-list"] — round-tripped through JSON *)
@@ -115,7 +114,7 @@ type stats = {
   domains_used : int;  (** worker domains the search actually ran on *)
   per_domain_runs : int list;
       (** runs executed by each worker domain, index = domain ordinal
-          (a single entry for the sequential search); sums to [runs] —
+          (a single entry with one domain); sums to [runs] —
           the utilization breakdown behind the heartbeat telemetry *)
 }
 
@@ -133,16 +132,17 @@ type progress = {
   pg_runs : int;
   pg_states : int;
   pg_pruned : int;
-  pg_frontier : int;  (** unexplored prefixes left at this level *)
+  pg_frontier : int;  (** prefixes queued or in flight at this level *)
   pg_deferred : int;  (** prefixes already seeded for the next level *)
   pg_fp_size : int;  (** visited-fingerprint table occupancy *)
   pg_budget_left : int;  (** runs remaining in [max_runs] *)
   pg_per_domain_runs : int array;  (** runs per worker domain so far *)
 }
 (** A telemetry snapshot of a search in flight, delivered through
-    [config.on_progress]. Parallel-mode snapshots are racy reads of
-    monotone counters — each may be a few runs stale, but never
-    invented. *)
+    [config.on_progress]. With several domains the snapshot reads
+    monotone counters while workers run — each may be a few runs stale,
+    but never invented; [pg_runs] always equals the sum of
+    [pg_per_domain_runs]. *)
 
 type config = {
   max_preemptions : int;  (** highest preemption bound to search *)
@@ -151,19 +151,10 @@ type config = {
   shrink : bool;
   shrink_budget : int;  (** execution budget for delta-debugging *)
   domains : int;
-      (** worker domains; 1 (the default) runs the exact sequential DFS,
-          [> 1] shards each preemption level's frontier across
-          [Domain.spawn] workers (see {!explore}) *)
-  batch : int;
-      (** schedule prefixes handed to a worker per queue interaction
-          (level-synchronous parallel mode only); amortizes queue
-          contention *)
-  steal : bool;
-      (** with [domains > 1], use randomized work-stealing deques
-          instead of the level-synchronous queue: no level barriers, so
-          workers never idle at level boundaries, at the price of the
-          reported violation's preemption level not being guaranteed
-          minimal. Ignored when [domains <= 1]. *)
+      (** work-stealing workers per preemption level: worker 0 runs on
+          the calling domain, the others on spawned ones. 1 (the
+          default) is the deterministic sequential DFS (see
+          {!explore}). *)
   prune : bool;
       (** visited-fingerprint pruning; disable only for coverage
           comparisons — the full tree is explored without it *)
@@ -187,41 +178,35 @@ type config = {
       (** emit a {!progress} snapshot roughly every this many runs;
           [0] (the default) disables telemetry entirely *)
   on_progress : (progress -> unit) option;
-      (** heartbeat consumer. Always invoked on the calling domain (the
-          parallel search reports from its coordinator worker), so it
+      (** heartbeat consumer. Always invoked on the calling domain
+          (worker 0 runs there and is the only one that reports), so it
           may print or mutate caller state without synchronization. It
           runs inside the search loop — keep it cheap. *)
 }
 
 val default_config : config
 (** 2 preemptions, 20_000 runs, 50_000 steps/run, shrinking on with a
-    budget of 500 runs; 1 domain, batch 16, level-synchronous (no
-    stealing), pruning on, DPOR off, no fingerprint recording, no fault
-    hook. *)
+    budget of 500 runs; 1 domain, pruning on, DPOR off, no fingerprint
+    recording, no fault hook. *)
 
 val explore : ?config:config -> target -> search_result
 (** Search the target's schedule space. Stops at the first violation
     (shrunk if [config.shrink]), or when every schedule within
     [max_preemptions] has been covered, or when [max_runs] is spent.
 
-    Determinism contract, by mode:
-    - [domains = 1], [dpor = false]: the sequential CHESS-style DFS,
-      fully deterministic — identical target and config give identical
-      stats and counterexample, bit for bit across releases (the golden
-      counts the test suite pins).
-    - [domains = 1], [dpor = true]: still fully deterministic, but the
-      sleep-set cuts change which runs execute, so stats differ from
-      classic mode (fewer runs/states, same violations found).
-    - [domains > 1], level-synchronous (default): level barriers
-      preserve the iterative-bounding order, so a found violation still
-      carries the minimal preemption bound; {e which} violating schedule
-      is reported (and, with pruning, the run/state counts) may vary
-      across domain counts and timings.
-    - [domains > 1], [steal = true]: additionally, the reported
-      violation's preemption level is the level of the schedule that
-      found it — not guaranteed minimal, because levels interleave
-      without barriers.
-    In every mode a reported violation is a concretely witnessed
+    Determinism contract:
+    - [domains = 1] is deterministic: the sequential CHESS-style DFS, so
+      an identical target and config give identical stats and
+      counterexample, bit for bit (the test suite pins golden counts for
+      classic and DPOR mode; DPOR's sleep-set cuts give fewer runs than
+      classic mode and find the same violations).
+    - [domains > 1] is level-minimal: the barrier between preemption
+      levels keeps the iterative-bounding order, so a found violation
+      carries the same minimal preemption bound as with one domain.
+      {e Which} violating schedule is reported, and the run and state
+      counts, depend on worker timing: stealing and the shared visited
+      table see the runs in a different order.
+    Either way a reported violation is a concretely witnessed
     execution that replays sequentially to the same violation kind, and
     a no-violation verdict covers the same bounded schedule space. *)
 

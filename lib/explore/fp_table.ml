@@ -1,9 +1,8 @@
 (* Lock-striped visited-state table over int fingerprints, with a
    sleep-set mask per entry.
 
-   The classic search consults the table once per run (at the deviating
-   quantum); the DPOR search consults it at every quantum past the
-   deviation. Either way contention is low — distinct fingerprints hit
+   The search consults the table once per run, at the deviating
+   quantum, in classic and DPOR mode alike. Contention is low — distinct fingerprints hit
    distinct stripes — and keys are the already well-mixed
    [Heap.(x)fingerprint ⊕ Monitor.fingerprint ⊕ thread positions]
    hashes, so stripe selection just folds the high bits in.
@@ -58,17 +57,7 @@ let check_covered t fp ~mask =
   Mutex.unlock l;
   covered
 
-let check_and_add t fp = check_covered t fp ~mask:0
-
-let mem t fp =
-  let i = stripe_of t fp in
-  let l = t.locks.(i) in
-  Mutex.lock l;
-  let seen = Hashtbl.mem t.stripes.(i) fp in
-  Mutex.unlock l;
-  seen
-
-let add t fp = ignore (check_and_add t fp)
+let add t fp = ignore (check_covered t fp ~mask:0)
 
 let size t =
   Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.stripes

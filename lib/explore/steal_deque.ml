@@ -1,4 +1,4 @@
-(* Per-worker work-stealing deque for the randomized explorer.
+(* Per-worker work-stealing deque for the explorer's search.
 
    Chase–Lev shape — the owner pushes and pops at the bottom (LIFO,
    which keeps the frontier depth-first and bounded), thieves take from

@@ -1,4 +1,5 @@
-(** Per-worker deque for the randomized work-stealing explorer.
+(** Per-worker deque for the explorer's work-stealing search. With a
+    single worker its LIFO {!pop} order is the search's DFS order.
 
     Owner operations ({!push}, {!pop}) work LIFO at the bottom; thieves
     {!steal_half} from the top (oldest items first). Mutex-protected —

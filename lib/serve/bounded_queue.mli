@@ -10,8 +10,7 @@
     blocks, callers learn about saturation synchronously and can back
     off (the daemon turns [false] into a "shed" reply).
 
-    Shutdown has two modes, mirroring the explorer's
-    [Work_queue] contract:
+    Shutdown has two modes, both of which wake every blocked {!pop}:
     - {!close}: drain-then-stop. No further pushes are admitted; {!pop}
       keeps serving the remaining items and returns [None] only once the
       queue is empty.

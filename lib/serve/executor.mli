@@ -6,7 +6,8 @@
     a Tracer span per job on the worker's track plus a per-job
     [lib/obs] Registry snapshot persisted as a ["registry"] artifact.
 
-    Shutdown, mirroring the explorer's [Work_queue] liveness contract:
+    Shutdown never loses an admitted job and never leaves a worker
+    asleep:
     - {!stop} with [drain = true] (default): the queue refuses new work,
       the workers finish everything already admitted, then exit.
     - [drain = false]: the backlog is abandoned; each abandoned job is

@@ -180,7 +180,6 @@ let test_save_load_replay () =
 (* ------------------------------------------------------------------ *)
 
 let with_domains d config = { config with Ex.domains = d }
-let with_steal d config = { config with Ex.domains = d; Ex.steal = true }
 let with_dpor config = { config with Ex.dpor = true }
 let kind_of_cex c = c.Ex.c_violation.Ex.v_kind
 
@@ -220,9 +219,9 @@ let target_of_cell (_, name, structure, ops_per_thread, robustness_bound,
   App.explore_target ?ops_per_thread ?robustness_bound ~lincheck
     (scheme name) structure
 
-(* Parallel explore at 2 and 4 domains must agree with the sequential
-   search on the violation kind and the preemption level it is found at
-   (the level barrier guarantees minimality), and its shrunk script must
+(* Explore at 2 and 4 domains must agree with the single-domain search
+   on the violation kind and the preemption level it is found at (the
+   level barrier guarantees minimality), and its shrunk script must
    still violate under sequential replay. Which violating schedule wins
    the race may differ — validity never. *)
 let test_differential () =
@@ -295,36 +294,6 @@ let test_dpor_differential () =
         | None -> Alcotest.failf "%s: dpor script does not replay" label))
     diff_cells
 
-(* Work stealing has no level barriers, so the found preemption level is
-   not compared (not guaranteed minimal) — violation kind and sequential
-   replayability still must agree with the sequential search. *)
-let test_steal_differential () =
-  List.iter
-    (fun ((label, _, _, _, _, _) as cell) ->
-      let target = target_of_cell cell in
-      let seq = Ex.explore ~config:small target in
-      let seq_kind = Option.map kind_of_cex seq.Ex.res_cex in
-      List.iter
-        (fun d ->
-          let st = Ex.explore ~config:(with_steal d small) target in
-          Alcotest.(check bool)
-            (Fmt.str "%s steal d=%d same violation kind" label d)
-            true
-            (Option.map kind_of_cex st.Ex.res_cex = seq_kind);
-          match st.Ex.res_cex with
-          | None -> ()
-          | Some c -> (
-            match (Ex.replay target c).Ex.rp_violation with
-            | Some v ->
-              Alcotest.(check bool)
-                (Fmt.str "%s steal d=%d script replays" label d)
-                true
-                (v.Ex.v_kind = kind_of_cex c)
-            | None ->
-              Alcotest.failf "%s steal d=%d: script does not replay" label d))
-        diff_domain_counts)
-    diff_cells
-
 let test_dpor_deterministic () =
   let target = App.explore_target (scheme "hp") App.Harris in
   let a = Ex.explore ~config:(with_dpor small) target in
@@ -338,10 +307,10 @@ let test_dpor_deterministic () =
   Alcotest.(check bool) "identical shrunk schedule" true
     (steps a = steps b && steps a <> None)
 
-(* [domains = 1] is the pre-PR sequential DFS, bit for bit. The hp cell's
-   run/state counts are pinned as goldens — the simulation is
+(* [domains = 1] is the deterministic sequential DFS, bit for bit. The
+   hp cell's run/state counts are pinned as goldens — the simulation is
    deterministic and machine-independent, so any drift here means the
-   single-domain search path changed. *)
+   single-domain search order changed. *)
 let test_domains1_bit_identical () =
   let a = explore "hp" in
   let b =
@@ -467,8 +436,8 @@ let arb_case =
         b)
     gen_case
 
-(* With pruning off the bounded tree is enumerated in full, so parallel
-   and sequential searches must visit exactly the same runs — same
+(* With pruning off the bounded tree is enumerated in full, so the
+   multi-domain search must visit exactly the same runs — same
    deviation-point fingerprint set, same run/state counts — whatever the
    worker interleaving. EBR targets have no safety violation to cut the
    search short, which keeps the comparison exact. *)
@@ -499,12 +468,7 @@ let prop_fp_equivalence =
         && par.Ex.res_cex = None
       in
       List.for_all
-        (fun d ->
-          (* With pruning off, the work-stealing engine enumerates the
-             same full tree as the level-synchronous one — only in a
-             different order. *)
-          same (Ex.explore ~config:(with_domains d config) target)
-          && same (Ex.explore ~config:(with_steal d config) target))
+        (fun d -> same (Ex.explore ~config:(with_domains d config) target))
         diff_domain_counts)
 
 (* Soundness: whatever schedule a parallel search reports, the sequential
@@ -624,30 +588,33 @@ let test_sequential_fault_partial_report () =
 (* ------------------------------------------------------------------ *)
 
 (* Heartbeat stress (the per-domain-counter data-race regression): with
-   a 2-domain search reporting after every run, the coordinator reads
-   the per-domain run counters while the other worker is writing its
-   own — previously through a plain int array (an unsynchronized race in
-   the OCaml memory model), now through per-slot atomics. The test
-   asserts every snapshot is well-formed and the final per-domain
-   breakdown exactly accounts for the budget. *)
-let heartbeat_stress config =
+   a 2-domain search reporting after every run, worker 0 reads the
+   per-domain run counters while the other worker is writing its own —
+   through per-slot atomics, as a plain int array would be an
+   unsynchronized race in the OCaml memory model. The test asserts
+   every snapshot is well-formed and the final per-domain breakdown
+   exactly accounts for the budget. *)
+let test_heartbeat_stress () =
   let target = App.explore_target (scheme "ebr") App.Harris in
   let beats = ref 0 in
   let bad = ref [] in
   let config =
     {
-      config with
-      Ex.max_runs = 150;
+      Ex.default_config with
+      Ex.domains = 2;
+      max_runs = 150;
       shrink = false;
       progress_every = 1;
       on_progress =
         Some
           (fun p ->
             incr beats;
-            if Array.length p.Ex.pg_per_domain_runs <> config.Ex.domains then
+            if Array.length p.Ex.pg_per_domain_runs <> 2 then
               bad := "per-domain array length" :: !bad;
             if Array.exists (fun n -> n < 0) p.Ex.pg_per_domain_runs then
               bad := "negative per-domain count" :: !bad;
+            if Array.fold_left ( + ) 0 p.Ex.pg_per_domain_runs <> p.Ex.pg_runs
+            then bad := "per-domain runs do not sum to runs" :: !bad;
             (* the CAS budget reserve: the run counter may never
                overshoot the budget, even transiently *)
             if p.Ex.pg_runs > 150 then bad := "runs above budget" :: !bad;
@@ -663,77 +630,73 @@ let heartbeat_stress config =
   Alcotest.(check bool) "budget respected in final stats" true
     (s.Ex.runs <= 150)
 
-let test_heartbeat_stress_queue () =
-  heartbeat_stress (with_domains 2 Ex.default_config)
-
-let test_heartbeat_stress_steal () =
-  heartbeat_stress (with_steal 2 Ex.default_config)
-
 (* Budget boundary regression: with several workers racing the last few
    run slots, the old fetch-and-add-then-rollback reservation could
    both overshoot [max_runs] transiently and under-count after the
    racing rollbacks; the CAS reserve hands out exactly [max_runs]
    slots. An awkward budget (not divisible by the domain count) on a
    violation-free target exercises the contention at the boundary. *)
-let budget_boundary config =
+let test_budget_boundary () =
   let target = App.explore_target (scheme "ebr") App.Harris in
-  let config = { config with Ex.max_runs = 7; shrink = false } in
+  let config =
+    { Ex.default_config with Ex.domains = 4; max_runs = 7; shrink = false }
+  in
   let r = Ex.explore ~config target in
   let s = r.Ex.res_stats in
   Alcotest.(check int) "exactly max_runs runs" 7 s.Ex.runs;
   Alcotest.(check int) "per-domain breakdown accounts for every run" 7
     (List.fold_left ( + ) 0 s.Ex.per_domain_runs)
 
-let test_budget_boundary_queue () =
-  budget_boundary (with_domains 4 Ex.default_config)
-
-let test_budget_boundary_steal () =
-  budget_boundary (with_steal 4 Ex.default_config)
-
 (* ------------------------------------------------------------------ *)
-(* Work queue: quiescence wake-up                                      *)
+(* Steal_deque: the per-worker deque, and single-domain DFS order       *)
 (* ------------------------------------------------------------------ *)
 
-module Wq = Era_explore.Work_queue
+module Dq = Era_explore.Steal_deque
 
-(* Single-threaded semantics: batched handoff, quiescence only when
-   drained AND no batch outstanding. *)
-let test_work_queue_semantics () =
-  let q = Wq.create ~batch:2 () in
-  Wq.push_batch q [ 1; 2; 3 ];
-  (match Wq.take q with
-  | Some [ 1; 2 ] -> ()
-  | _ -> Alcotest.fail "first take should hand out [1; 2]");
-  (* queue still holds 3 and the caller is active: more work can come *)
-  Wq.push_batch q [ 4 ];
-  Wq.batch_done q;
-  (match Wq.take q with
-  | Some [ 3; 4 ] -> ()
-  | _ -> Alcotest.fail "second take should hand out [3; 4]");
-  Wq.batch_done q;
-  Alcotest.(check bool) "drained queue with no active worker quiesces" true
-    (Wq.take q = None);
-  Alcotest.(check bool) "take after quiescence stays None" true
-    (Wq.take q = None)
+let drain q =
+  let rec go acc =
+    match Dq.pop q with Some x -> go (x :: acc) | None -> List.rev acc
+  in
+  go []
 
-(* The lost-wakeup scenario the audit covered: a worker blocks in [take]
-   on an empty queue while the last active worker finishes a batch that
-   produced no children. [batch_done] must wake the waiter (it
-   broadcasts whenever the active count hits zero); if that wake-up were
-   conditioned away, the waiter would sleep forever and this test would
-   hang rather than fail. *)
-let test_work_queue_last_worker_wakeup () =
-  let q = Wq.create ~batch:1 () in
-  Wq.push_batch q [ 42 ];
-  (match Wq.take q with
-  | Some [ 42 ] -> ()
-  | _ -> Alcotest.fail "setup take");
-  (* this domain now blocks: queue empty, one active worker remains *)
-  let waiter = Domain.spawn (fun () -> Wq.take q) in
-  Unix.sleepf 0.05;
-  Wq.batch_done q;
-  Alcotest.(check bool) "blocked waiter woken into quiescence" true
-    (Domain.join waiter = None)
+let range a b = List.init (b - a) (fun i -> a + i)
+
+(* The owner end is a stack: one worker's pop order is the DFS order. *)
+let test_deque_lifo () =
+  let q = Dq.create () in
+  List.iter (Dq.push q) (range 1 6);
+  Alcotest.(check (list int)) "pop is LIFO" [ 5; 4; 3; 2; 1 ] (drain q);
+  Alcotest.(check int) "empty after draining" 0 (Dq.length q);
+  Alcotest.(check (option int)) "pop on empty" None (Dq.pop q)
+
+(* Thieves take the oldest half (rounded up), oldest first; the owner
+   keeps the newest items in LIFO order. *)
+let test_deque_steal_half () =
+  let q = Dq.create () in
+  Alcotest.(check (list int)) "steal from empty" [] (Dq.steal_half q);
+  List.iter (Dq.push q) (range 1 6);
+  Alcotest.(check (list int)) "oldest half in age order" [ 1; 2; 3 ]
+    (Dq.steal_half q);
+  Alcotest.(check int) "victim keeps the rest" 2 (Dq.length q);
+  Alcotest.(check (list int)) "owner keeps the newest" [ 5; 4 ] (drain q);
+  Dq.push q 7;
+  Alcotest.(check (list int)) "a single item is stealable" [ 7 ]
+    (Dq.steal_half q)
+
+(* Growth past the initial 64 slots once the head has wrapped: a steal
+   moves the head to slot 30, 34 pushes fill the ring around its end,
+   and the next push must copy both halves out in age order. *)
+let test_deque_growth_after_wrap () =
+  let q = Dq.create () in
+  List.iter (Dq.push q) (range 0 60);
+  Alcotest.(check (list int)) "first steal" (range 0 30) (Dq.steal_half q);
+  List.iter (Dq.push q) (range 60 100);
+  Alcotest.(check int) "all live items kept" 70 (Dq.length q);
+  Alcotest.(check (list int)) "steal after growth: oldest half in order"
+    (range 30 65) (Dq.steal_half q);
+  Alcotest.(check (list int)) "pop after growth: newest first"
+    (List.rev (range 65 100))
+    (drain q)
 
 (* ------------------------------------------------------------------ *)
 (* Save: parent-directory handling                                     *)
@@ -835,8 +798,6 @@ let () =
             test_domains1_bit_identical;
           Alcotest.test_case "dpor agrees with classic on built-ins" `Quick
             test_dpor_differential;
-          Alcotest.test_case "work stealing agrees on built-ins" `Quick
-            test_steal_differential;
           Alcotest.test_case "dpor search is deterministic" `Quick
             test_dpor_deterministic;
         ] );
@@ -855,21 +816,18 @@ let () =
         ] );
       ( "heartbeat-budget",
         [
-          Alcotest.test_case "heartbeat stress, queue engine" `Quick
-            test_heartbeat_stress_queue;
-          Alcotest.test_case "heartbeat stress, steal engine" `Quick
-            test_heartbeat_stress_steal;
-          Alcotest.test_case "budget boundary, queue engine" `Quick
-            test_budget_boundary_queue;
-          Alcotest.test_case "budget boundary, steal engine" `Quick
-            test_budget_boundary_steal;
+          Alcotest.test_case "heartbeat stress, 2 domains" `Quick
+            test_heartbeat_stress;
+          Alcotest.test_case "budget boundary, 4 domains" `Quick
+            test_budget_boundary;
         ] );
-      ( "work-queue",
+      ( "steal-deque",
         [
-          Alcotest.test_case "batched handoff and quiescence" `Quick
-            test_work_queue_semantics;
-          Alcotest.test_case "last worker wakes blocked taker" `Quick
-            test_work_queue_last_worker_wakeup;
+          Alcotest.test_case "owner pop is LIFO" `Quick test_deque_lifo;
+          Alcotest.test_case "steal takes the oldest half" `Quick
+            test_deque_steal_half;
+          Alcotest.test_case "growth after the head wraps" `Quick
+            test_deque_growth_after_wrap;
         ] );
       ( "save-dirs",
         [

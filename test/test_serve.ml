@@ -1,6 +1,6 @@
 (* Serving layer (lib/serve): bounded-queue capacity and shutdown
    liveness (close-while-poppers-blocked, drain-then-stop, close_now
-   accounting — the Work_queue lost-wakeup discipline applied to the
+   accounting — no lost wake-up and no silently dropped job on the
    admission path), tenant-fair scheduling, the content-addressed store,
    executor lifecycle, and a daemon/client/load end-to-end pass over a
    real Unix socket. *)
