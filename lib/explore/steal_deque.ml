@@ -58,23 +58,25 @@ let pop t =
 (* Thief end: take (up to) half the victim's items, oldest first. The
    returned list preserves age order, so a thief that pushes them into
    its own deque and pops LIFO continues with the victim's
-   newest-stolen item — the usual steal-half locality compromise. *)
+   newest-stolen item — the usual steal-half locality compromise.
+   [Mutex.protect]: should the slot invariant ever break, the assertion
+   must reach the thief's caller rather than leave the lock held and
+   hang every other domain on it. *)
 let steal_half t =
-  Mutex.lock t.m;
-  let n = (t.size + 1) / 2 in
-  let acc = ref [] in
-  let cap = Array.length t.buf in
-  for k = n - 1 downto 0 do
-    let i = (t.head + k) mod cap in
-    (match t.buf.(i) with
-    | Some x -> acc := x :: !acc
-    | None -> assert false);
-    t.buf.(i) <- None
-  done;
-  t.head <- (t.head + n) mod cap;
-  t.size <- t.size - n;
-  Mutex.unlock t.m;
-  !acc
+  Mutex.protect t.m (fun () ->
+      let n = (t.size + 1) / 2 in
+      let acc = ref [] in
+      let cap = Array.length t.buf in
+      for k = n - 1 downto 0 do
+        let i = (t.head + k) mod cap in
+        (match t.buf.(i) with
+        | Some x -> acc := x :: !acc
+        | None -> assert false);
+        t.buf.(i) <- None
+      done;
+      t.head <- (t.head + n) mod cap;
+      t.size <- t.size - n;
+      !acc)
 
 let length t =
   Mutex.lock t.m;

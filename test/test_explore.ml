@@ -583,6 +583,32 @@ let test_sequential_fault_partial_report () =
   Alcotest.(check int) "one failed run" 1 r.Ex.res_stats.Ex.failed_runs;
   Alcotest.(check int) "budget still fully used" 50 r.Ex.res_stats.Ex.runs
 
+(* An exception outside the fault hook — here from the heartbeat, which
+   worker 0 calls on the calling domain — reaches the caller of
+   [explore] once every domain is joined. The test returning at all is
+   half the assertion: the raising worker sets the cancel latch, so the
+   other worker stops instead of finishing the level alone. *)
+let test_raising_worker_reraised () =
+  let target = App.explore_target (scheme "ebr") App.Harris in
+  let beats = ref 0 in
+  let config =
+    {
+      Ex.default_config with
+      Ex.domains = 2;
+      max_runs = 500;
+      shrink = false;
+      progress_every = 1;
+      on_progress =
+        Some
+          (fun _ ->
+            incr beats;
+            if !beats = 3 then raise Injected_fault);
+    }
+  in
+  Alcotest.check_raises "heartbeat exception re-raised" Injected_fault
+    (fun () -> ignore (Ex.explore ~config target));
+  Alcotest.(check int) "no heartbeat after the raise" 3 !beats
+
 (* ------------------------------------------------------------------ *)
 (* Heartbeat under parallel load; budget boundary                      *)
 (* ------------------------------------------------------------------ *)
@@ -697,6 +723,34 @@ let test_deque_growth_after_wrap () =
   Alcotest.(check (list int)) "pop after growth: newest first"
     (List.rev (range 65 100))
     (drain q)
+
+(* Exactly once under concurrency: the owner pushes and pops while two
+   thieves steal from other domains; every pushed item ends up with
+   exactly one taker. *)
+let test_deque_concurrent_steals () =
+  let n = 20_000 in
+  let q = Dq.create () in
+  let done_ = Atomic.make false in
+  let thief () =
+    let rec go acc =
+      match Dq.steal_half q with
+      | [] -> if Atomic.get done_ then acc else (Domain.cpu_relax (); go acc)
+      | xs -> go (List.rev_append xs acc)
+    in
+    go []
+  in
+  let thieves = List.init 2 (fun _ -> Domain.spawn thief) in
+  let popped = ref [] in
+  for i = 0 to n - 1 do
+    Dq.push q i;
+    if i mod 3 = 0 then
+      match Dq.pop q with Some x -> popped := x :: !popped | None -> ()
+  done;
+  popped := List.rev_append (drain q) !popped;
+  Atomic.set done_ true;
+  let stolen = List.concat_map Domain.join thieves in
+  Alcotest.(check (list int)) "every item taken exactly once" (range 0 n)
+    (List.sort compare (List.rev_append stolen !popped))
 
 (* ------------------------------------------------------------------ *)
 (* Save: parent-directory handling                                     *)
@@ -813,6 +867,8 @@ let () =
             `Quick test_worker_crash_queue_integrity;
           Alcotest.test_case "sequential fault gives a partial report" `Quick
             test_sequential_fault_partial_report;
+          Alcotest.test_case "raising worker re-raised after join" `Quick
+            test_raising_worker_reraised;
         ] );
       ( "heartbeat-budget",
         [
@@ -828,6 +884,8 @@ let () =
             test_deque_steal_half;
           Alcotest.test_case "growth after the head wraps" `Quick
             test_deque_growth_after_wrap;
+          Alcotest.test_case "concurrent steals take each item once" `Quick
+            test_deque_concurrent_steals;
         ] );
       ( "save-dirs",
         [
